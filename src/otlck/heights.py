@@ -16,13 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Union
 
+import sympy
 from mpmath import mp, mpf
 
+from .balls import horner_ball
 from .errors import BoundaryTie, BudgetExceeded, InputError, PrecisionExhausted
 from .numberfield import FieldElement, element_ball, is_unit, min_poly_int
 from .polys import (
     IntPoly,
-    RatPoly,
     conjugate_ratio_poly,
     factor_int_poly,
     is_irreducible,
@@ -35,7 +36,6 @@ from .roots import (
     RootBox,
     isolate_roots,
     mpf_to_fraction,
-    root_separation_bound,
 )
 from .units import Decision, UnitSubgroup, is_equal_modulus
 
@@ -164,33 +164,18 @@ def height_algebraic(a, eps=DEFAULT_EPS, ctx: PrecisionContext = DEFAULT_CTX) ->
 # Kronecker
 
 
-def _poly_pow_mod(n: int, g: IntPoly) -> RatPoly:
-    """x^n mod g (g monic) by binary exponentiation, exact."""
-    mod = g.to_rat()
-    result = RatPoly((Fraction(1),))
-    base = RatPoly((Fraction(0), Fraction(1))) % mod
-    while n:
-        if n & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        n >>= 1
-    return result
-
-
 def _cyclotomic_minpoly(g: IntPoly) -> bool:
     """True iff the irreducible primitive g is the minimal polynomial of a
-    root of unity, i.e. g | x^n - 1 for some n with phi(n) = deg g.
+    root of unity, i.e. g = Phi_n for some n with phi(n) = deg g.
     n is searched up to 2*deg^2 (phi(n) >= sqrt(n/2))."""
     d = g.degree
     if d < 1 or g.lc != 1 or abs(g.coeffs[0]) != 1:
         return False
-    one = RatPoly((Fraction(1),))
-    for n in range(1, 2 * d * d + 1):
-        if _euler_phi(n) != d:
-            continue
-        if _poly_pow_mod(n, g) == one:
-            return True
-    return False
+    return any(
+        _euler_phi(n) == d
+        and IntPoly.from_sympy(sympy.cyclotomic_poly(n, polys=True)) == g
+        for n in range(1, 2 * d * d + 1)
+    )
 
 
 def _euler_phi(n: int) -> int:
@@ -241,9 +226,9 @@ def unit_point_height(
 ) -> HeightValue:
     """Absolute height of the conjugate ratio sigma_{s+2}(u)/sigma_{s+1}(u)
     for a unit in a field with exactly two conjugate pairs.  The ratio's
-    minimal polynomial is located inside the conjugate-ratio polynomial by
-    certified numeric matching below the separation bound; non-archimedean
-    places contribute nothing because the ratio is a quotient of units."""
+    minimal polynomial is the factor of the conjugate-ratio polynomial whose
+    ball evaluation at the ratio alone contains 0; non-archimedean places
+    contribute nothing because the ratio is a quotient of units."""
     fld = u.field
     ctx = ctx or fld.ctx
     if fld.t != 2:
@@ -264,37 +249,26 @@ def unit_point_height(
 
 
 def _match_ratio_factor(u, ratio_sf, factors, ctx) -> IntPoly:
-    s = u.field.s
-    delta = root_separation_bound(ratio_sf)
-    if delta is None or len(factors) == 1:
+    """The irreducible factor of ratio_sf vanishing at the ratio
+    sigma_{s+2}(u)/sigma_{s+1}(u).  Every factor is evaluated on a ball
+    around the ratio: the true factor's enclosure always contains 0, and the
+    others' exclude it once the ball is small enough, because the factors
+    of the squarefree ratio_sf have no common root."""
+    if len(factors) == 1:
         return factors[0]
-    quarter = delta / 4
+    s = u.field.s
     for digits in ctx.ladder():
         with mp.workdps(digits + _GUARD):
-            num = element_ball(u, s + 1, digits)
-            den = element_ball(u, s + 0, digits)
             try:
-                r = num / den
+                r = element_ball(u, s + 1, digits) / element_ball(u, s, digits)
             except PrecisionExhausted:
                 continue
-            dq = mpf(quarter.numerator) / mpf(quarter.denominator)
-            if r.rad >= dq:
-                continue
-            sub = PrecisionContext(
-                max(digits, ctx.working_digits),
-                ctx.escalation_factor,
-                max(ctx.max_digits, digits),
-            )
-            hits = []
-            for fac in factors:
-                boxes = isolate_roots(fac, sub)
-                if any(
-                    abs(b.ball().mid - r.mid) < 2 * dq and b.radius < dq
-                    for b in boxes
-                ):
-                    hits.append(fac)
-            if len(hits) == 1:
-                return hits[0]
+            hits = [
+                fac for fac in factors
+                if horner_ball(fac.coeffs, r).abs_ball().lo <= 0
+            ]
+        if len(hits) == 1:
+            return hits[0]
     raise PrecisionExhausted("could not attribute the conjugate ratio to a factor")
 
 

@@ -46,6 +46,7 @@ class NumberField:
         self.signature = signature
         self.ctx = ctx
         self._embeddings = {ctx.working_digits: tuple(embeddings)}
+        self._min_polys = {}  # element coeffs -> monic minimal polynomial
 
     @property
     def degree(self) -> int:
@@ -63,19 +64,14 @@ class NumberField:
         """Ordered embedding boxes, refined on demand.  The deterministic
         ordering is identical at every precision, so refinement preserves
         the sigma labeling."""
-        digits = digits or self.ctx.working_digits
-        key = min(d for d in self._cached_ladder(digits))
+        key = self.ctx.working_digits
+        while key < (digits or 0):
+            key *= self.ctx.escalation_factor
         if key not in self._embeddings:
             sub = PrecisionContext(key, self.ctx.escalation_factor,
                                    max(self.ctx.max_digits, key))
             self._embeddings[key] = tuple(isolate_roots(self.poly, sub))
         return self._embeddings[key]
-
-    def _cached_ladder(self, digits):
-        d = self.ctx.working_digits
-        while d < digits:
-            d *= self.ctx.escalation_factor
-        return [d]
 
     def element(self, coeffs) -> "FieldElement":
         coeffs = [Fraction(c) for c in coeffs]
@@ -275,10 +271,13 @@ def char_poly(a: FieldElement) -> RatPoly:
 
 
 def min_poly(a: FieldElement) -> RatPoly:
-    """Monic minimal polynomial over Q (squarefree part of the char poly)."""
-    ch = char_poly(a)
-    g = poly_gcd(ch, ch.derivative())
-    return (ch // g).monic()
+    """Monic minimal polynomial over Q (squarefree part of the char poly),
+    memoized on the field by the element's coefficients."""
+    cache = a.field._min_polys
+    if a.coeffs not in cache:
+        ch = char_poly(a)
+        cache[a.coeffs] = (ch // poly_gcd(ch, ch.derivative())).monic()
+    return cache[a.coeffs]
 
 
 def min_poly_int(a: FieldElement) -> IntPoly:

@@ -2,7 +2,7 @@
 
 Dense ascending-coefficient representation.  Everything here is exact:
 integer or Fraction coefficients, no floating point.  Factorization and
-resultants are delegated to sympy's exact routines (subresultant PRS /
+resultants are delegated to sympy's exact routines (dense subresultant PRS /
 Zassenhaus); the surrounding contracts, canonical forms and derived
 constructions (conjugate ratio/product/sum polynomials, Sturm counting)
 are implemented directly.
@@ -332,9 +332,10 @@ def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
 
 
 def resultant(a: IntPoly, b: IntPoly) -> int:
-    """Res(a, b) = lc(a)^deg(b) * prod b(alpha_i) over the roots of a,
-    as the Sylvester determinant (sympy's resultant drops the sign when
-    the first argument has lower degree, so the matrix is built here)."""
+    """Res(a, b) = lc(a)^deg(b) * prod b(alpha_i) over the roots of a, the
+    Sylvester determinant, by sympy's dense subresultant resultant.  That
+    one agrees with the Sylvester sign when deg a >= deg b; otherwise the
+    arguments are swapped, using Res(a, b) = (-1)^(deg a deg b) Res(b, a)."""
     if a.is_zero or b.is_zero:
         raise InputError("resultant of the zero polynomial is undefined")
     m, n = a.degree, b.degree
@@ -342,15 +343,9 @@ def resultant(a: IntPoly, b: IntPoly) -> int:
         return a.coeffs[0] ** n
     if n == 0:
         return b.coeffs[0] ** m
-    ad = list(reversed(a.coeffs))
-    bd = list(reversed(b.coeffs))
-    size = m + n
-    rows = []
-    for i in range(n):
-        rows.append([0] * i + ad + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + bd + [0] * (size - n - 1 - i))
-    return int(sympy.Matrix(rows).det(method="bareiss"))
+    if m < n:
+        return (-1) ** (m * n) * resultant(b, a)
+    return int(a.to_sympy().resultant(b.to_sympy()))
 
 
 def discriminant(f: IntPoly) -> int:

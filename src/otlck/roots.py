@@ -1,17 +1,23 @@
 """Certified complex root isolation at arbitrary precision.
 
-Roots are located by simultaneous Aberth-Ehrlich iteration and certified a
-posteriori: around each approximation z_i we place the inclusion disk of
-radius d*|f(z_i)| / (|lc| * prod_{j!=i} |z_i - z_j|).  The union of these
+Roots are located by simultaneous Aberth-Ehrlich iteration, started from
+numpy's double-precision roots of the coefficients rounded to complex
+doubles (or, when a coefficient or a root falls outside the double range,
+from a circle of the Cauchy root radius), and certified a posteriori: around
+each approximation z_i we place the inclusion disk of radius
+d*(|f(z_i)| + e_i) / (|lc| * prod_{j!=i} |z_i - z_j|), where e_i is a
+running bound on the rounding error of the evaluation.  The union of these
 disks contains every root, and a disk disjoint from all the others contains
 exactly one, so pairwise disjointness turns the approximations into
-isolating boxes.  Realness and conjugate pairing are certified through the
-same disks, and the real-root count is reconciled against Sturm's theorem.
+isolating boxes; the start point only affects the speed.  Realness and
+conjugate pairing are certified through the same disks, and the real-root
+count is reconciled against Sturm's theorem.
 Precision doubles on any failure until max_digits, then fails loudly.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -116,12 +122,31 @@ def _horner(coeffs, z):
     return acc
 
 
+def _double_start(coeffs):
+    """Roots of the coefficients rounded to complex doubles, as mpc, or None
+    when a coefficient or a root is not a finite double."""
+    import numpy as np
+
+    cs = [complex(c) for c in reversed(coeffs)]
+    if not all(cmath.isfinite(c) for c in cs):
+        return None
+    try:
+        roots = np.roots(cs)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(roots).all():
+        return None
+    return [mpc(complex(r)) for r in roots]
+
+
 def _aberth(coeffs, maxsteps, tol, warm=None):
     """Simultaneous iteration; coeffs ascending mpc. Returns approximations
     or None if it failed to converge."""
     d = len(coeffs) - 1
     deriv = [i * c for i, c in enumerate(coeffs)][1:]
-    if warm is not None and len(warm) == d:
+    if warm is None or len(warm) != d:
+        warm = _double_start(coeffs)
+    if warm is not None:
         z = [mpc(w) for w in warm]
     else:
         radius = 1 + max(abs(c) / abs(coeffs[-1]) for c in coeffs[:-1])
@@ -158,8 +183,18 @@ def _aberth(coeffs, maxsteps, tol, warm=None):
 
 
 def _smith_radii(coeffs, z):
+    """Inclusion radii d*(|f(z_i)| + e_i) / (|lc| * prod_{j!=i} |z_i - z_j|).
+    With u = 2^-prec (mpmath rounds to nearest), the Horner value including
+    the rounding of the coefficients is off by at most
+    gamma_{2d+2} sum |c_k| |z_i|^k, gamma_n = nu/(1-nu) (Higham, Accuracy
+    and Stability of Numerical Algorithms, 5.1).  e_i = 4(d+1) u sum is
+    about twice that, which also covers the rounding of the sum and of
+    |f(z_i)|.  The factor 1 + 2^-20 absorbs the rounding of the
+    denominator and quotient."""
     d = len(coeffs) - 1
     lc = abs(coeffs[-1])
+    unit = 4 * (d + 1) * mpf(2) ** (-mp.prec)
+    abs_coeffs = [abs(c) for c in coeffs]
     radii = []
     for i in range(d):
         prod = mpf(1)
@@ -169,10 +204,9 @@ def _smith_radii(coeffs, z):
                 if dz == 0:
                     return None
                 prod *= dz
-        r = d * abs(_horner(coeffs, z[i])) / (lc * prod)
-        # absorb evaluation rounding: a few guard ulps relative to |z_i|
-        r = r * (1 + mpf(2) ** (-20)) + (1 + abs(z[i])) * mpf(2) ** (-mp.prec + 8)
-        radii.append(r)
+        err = unit * _horner(abs_coeffs, abs(z[i])).real
+        r = d * (abs(_horner(coeffs, z[i])) + err) / (lc * prod)
+        radii.append(r * (1 + mpf(2) ** (-20)))
     return radii
 
 

@@ -1,6 +1,10 @@
 """End-to-end CLI behaviour: output shape, determinism and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
@@ -132,3 +136,13 @@ def test_text_output_mode():
     res = run("--output", "text", "feasible", "2", "1")
     assert res.exit_code == 0
     assert "feasible: true" in res.output
+
+
+def test_import_does_not_load_numpy():
+    # numpy is imported lazily where it is used; loading it at import time
+    # would add about 0.1 s to every CLI start
+    code = "import otlck, otlck.cli, sys; assert 'numpy' not in sys.modules"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

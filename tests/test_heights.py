@@ -2,6 +2,7 @@
 height enumeration."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,15 @@ from otlck import (
     projective_height_rational,
     search_equal_modulus_units,
     unit_point_height,
+)
+from otlck.heights import _match_ratio_factor
+from otlck.numberfield import min_poly_int
+from otlck.polys import (
+    RatPoly,
+    conjugate_ratio_poly,
+    factor_int_poly,
+    is_irreducible,
+    squarefree_part,
 )
 
 CTX = PrecisionContext(64, 2, 4096)
@@ -189,3 +199,51 @@ def test_search_equal_modulus_trivial_group(zeta5):
     group = UnitSubgroup(zeta5, [], CTX)
     found = search_equal_modulus_units(group, 0)
     assert len(found) == 2  # +-1
+
+
+def _divides_x_n_minus_1(g: IntPoly) -> bool:
+    """Reference root-of-unity test: x^n = 1 mod g for some n <= 2 deg^2."""
+    mod, one = g.to_rat(), RatPoly((Fraction(1),))
+    power = one
+    for _ in range(2 * g.degree**2):
+        power = (power * RatPoly((Fraction(0), Fraction(1)))) % mod
+        if power == one:
+            return True
+    return False
+
+
+def test_cyclotomic_test_matches_divisibility_reference():
+    cyclotomic = {
+        g for n in range(1, 41)
+        for g, _ in factor_int_poly(IntPoly((-1,) + (0,) * (n - 1) + (1,)), degree_cap=40)
+    }
+    rng = random.Random(7)
+    others = set()
+    while len(others) < 60:
+        d = rng.randint(2, 6)
+        g = IntPoly((rng.choice([-1, 1]),) + tuple(rng.randint(-2, 2) for _ in range(d - 1)) + (1,))
+        if is_irreducible(g):
+            others.add(g)
+    lehmer = IntPoly((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
+    for g in sorted(cyclotomic | others | {lehmer}, key=lambda p: p.coeffs):
+        assert is_root_of_unity(g) == _divides_x_n_minus_1(g), g
+    assert all(is_root_of_unity(g) for g in cyclotomic)
+    assert not is_root_of_unity(lehmer)
+
+
+@pytest.mark.parametrize("coeffs", [[0, 1, 0, 0, 0], [0, 0, 0, 1, 1]])
+def test_match_ratio_factor_against_polyroots(quintic, coeffs):
+    # the factor picked for sigma_{s+2}(u)/sigma_{s+1}(u) vanishes at the
+    # ratio computed from mpmath's roots of x^5 - x - 1, and no other does
+    u = quintic.element(coeffs)
+    ratio_sf = squarefree_part(conjugate_ratio_poly(min_poly_int(u)))
+    factors = [f for f, _ in factor_int_poly(ratio_sf)]
+    assert len(factors) > 1
+    target = _match_ratio_factor(u, ratio_sf, factors, CTX)
+    with mp.workdps(60):
+        roots = mp.polyroots([1, 0, 0, 0, -1, -1], maxsteps=200, extraprec=200)
+        up1, up2 = sorted((r for r in roots if r.imag > 0), key=lambda r: r.real)
+        ratio = mp.polyval(coeffs[::-1], up2) / mp.polyval(coeffs[::-1], up1)
+        for fac in factors:
+            value = abs(mp.polyval(list(fac.coeffs[::-1]), ratio))
+            assert (value < mpf(10) ** -40) == (fac == target), fac

@@ -22,6 +22,7 @@ from otlck import (
     new_field,
     norm_trace,
 )
+from otlck import numberfield
 from otlck.errors import ReducibleError
 
 rationals = st.fractions(
@@ -174,3 +175,17 @@ def test_parse_element(sqrt2):
 def test_cross_field_mixing_rejected(sqrt2, plastic):
     with pytest.raises(InputError):
         sqrt2.theta() + plastic.theta()
+
+
+def test_min_poly_memoized_per_field(monkeypatch):
+    fld = new_field("x^3 - x - 1")  # fresh field: an empty cache
+    calls = []
+    real = numberfield.char_poly
+    monkeypatch.setattr(numberfield, "char_poly", lambda a: calls.append(a) or real(a))
+    u = fld.element([1, 1])
+    first = min_poly(u)
+    assert is_unit(u) and is_unit(fld.element(["1", "1", "0"]))
+    assert min_poly_int(u) == first.primitive_int()
+    assert len(calls) == 1
+    min_poly(fld.theta())
+    assert len(calls) == 2

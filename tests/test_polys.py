@@ -1,6 +1,7 @@
 """Exact polynomial layer: parsing, gcd, resultants, squarefree structure,
 Sturm counting and the conjugate-combination constructions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -184,3 +185,45 @@ def test_resultant_multiplicative_in_first_slot(f, g):
     if f.degree < 1 or g.degree < 1:
         return
     assert resultant(f * h, g) == resultant(f, g) * resultant(h, g)
+
+
+def _sylvester_det(a: IntPoly, b: IntPoly) -> int:
+    """Reference Res(a, b): the Sylvester determinant by exact Fraction
+    elimination (Res(c, b) = c^deg b for a constant c, and symmetrically)."""
+    m, n = a.degree, b.degree
+    if m == 0 or n == 0:
+        return a.coeffs[0] ** n if m == 0 else b.coeffs[0] ** m
+    size = m + n
+    ad, bd = list(reversed(a.coeffs)), list(reversed(b.coeffs))
+    rows = [[Fraction(0)] * i + ad + [Fraction(0)] * (n - 1 - i) for i in range(n)]
+    rows += [[Fraction(0)] * i + bd + [Fraction(0)] * (m - 1 - i) for i in range(m)]
+    rows = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for col in range(size):
+        piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, size):
+            q = rows[r][col] / rows[col][col]
+            if q:
+                rows[r] = [x - q * y for x, y in zip(rows[r], rows[col])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def test_resultant_matches_sylvester_reference():
+    rng = random.Random(20261018)
+    shapes = {"lower": 0, "equal": 0, "higher": 0, "constant": 0, "nonmonic": 0}
+    for _ in range(360):
+        da, db = rng.randint(0, 7), rng.randint(0, 7)
+        a = IntPoly(tuple(rng.randint(-9, 9) for _ in range(da)) + (rng.choice([-3, -1, 1, 2, 5]),))
+        b = IntPoly(tuple(rng.randint(-9, 9) for _ in range(db)) + (rng.choice([-2, 1, 3, 7]),))
+        shapes["lower" if da < db else "equal" if da == db else "higher"] += 1
+        shapes["constant"] += min(da, db) == 0
+        shapes["nonmonic"] += abs(a.lc) != 1 or abs(b.lc) != 1
+        assert resultant(a, b) == _sylvester_det(a, b), (a, b)
+    assert min(shapes.values()) >= 20, shapes

@@ -1,12 +1,13 @@
 """Certified root isolation: separation bounds, box counts against Sturm,
 conjugate pairing and refinement."""
 
+import warnings
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf, sqrt
+from mpmath import mp, mpc, mpf, sqrt
 
 from otlck import (
     InputError,
@@ -18,7 +19,7 @@ from otlck import (
     sturm_count,
 )
 from otlck.polys import is_squarefree, squarefree_part
-from otlck.roots import certified_sign
+from otlck.roots import _aberth, _smith_radii, certified_sign, mpf_to_fraction
 
 CTX = PrecisionContext(64, 2, 4096)
 
@@ -158,3 +159,57 @@ def test_certified_sign():
 
     with pytest.raises(PrecisionExhausted):
         certified_sign(exact_zero, PrecisionContext(50, 2, 100))
+
+
+def test_isolate_beyond_double_range_without_warning():
+    # the constant term overflows a double, so the numpy start is skipped
+    # and the iteration starts from the Cauchy circle
+    f = IntPoly((-(10**310 + 3), 1, 0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        boxes = isolate_roots(f, CTX)
+    assert [b.kind for b in boxes] == ["real", "complex_upper", "complex_lower"]
+    assert sturm_count(f) == 1
+    with mp.workdps(boxes[0].digits + 20):
+        lo = mpf_to_fraction(boxes[0].center - boxes[0].radius)
+        hi = mpf_to_fraction(boxes[0].center + boxes[0].radius)
+    assert f(lo) < 0 < f(hi)
+
+
+def test_isolate_mignotte_cluster():
+    # x^8 - 2(50x - 1)^2: two real roots about 4.5e-9 apart near 1/50
+    f = IntPoly((-2, 200, -5000, 0, 0, 0, 0, 0, 1))
+    boxes = isolate_roots(f, CTX)
+    assert len(boxes) == 8
+    assert [b.kind for b in boxes] == ["real"] * 4 + ["complex_upper"] * 2 + ["complex_lower"] * 2
+    assert sturm_count(f) == 4
+    assert sturm_count(f, Fraction(1, 50), Fraction(1, 49)) == 1
+    assert sturm_count(f, Fraction(1, 51), Fraction(1, 50)) == 1
+    with mp.workdps(80):
+        assert boxes[1].center < mpf(1) / 50 < boxes[2].center
+
+
+@given(st.lists(st.integers(min_value=-40, max_value=40), min_size=3, max_size=10))
+@settings(max_examples=40, deadline=None)
+def test_smith_radii_cover_high_precision_evaluation(coeffs):
+    f = IntPoly(tuple(coeffs))
+    if f.degree < 2:
+        return
+    f = squarefree_part(f)
+    if f.degree < 2:
+        return
+    d = f.degree
+    with mp.workdps(52):
+        cs = [mpc(c) for c in f.coeffs]
+        z = _aberth(cs, maxsteps=200, tol=mpf(10) ** -45)
+        if z is None:
+            return
+        radii = _smith_radii(cs, z)
+    if radii is None:
+        return
+    # the same formula with |f(z_i)| re-evaluated at 4x the precision
+    with mp.workprec(4 * mp.prec):
+        for i in range(d):
+            fz = abs(mp.polyval(list(reversed(f.coeffs)), z[i]))
+            prod = mp.fprod(abs(z[i] - z[j]) for j in range(d) if j != i)
+            assert radii[i] >= d * fz / (abs(f.lc) * prod)
