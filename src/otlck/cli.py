@@ -187,13 +187,12 @@ def _element_command(name, payload_fn):
 
 
 _element_command("minpoly", lambda a: {"min_poly": str(min_poly(a))})
-_element_command(
-    "norm",
-    lambda a: {
-        "norm": str(norm_trace(a)[0]),
-        "trace": str(norm_trace(a)[1]),
-    },
-)
+def _norm_payload(a):
+    norm, trace = norm_trace(a)
+    return {"norm": str(norm), "trace": str(trace)}
+
+
+_element_command("norm", _norm_payload)
 _element_command("integer", lambda a: {"algebraic_integer": is_algebraic_integer(a)})
 _element_command("unit", lambda a: {"unit": is_unit(a)})
 

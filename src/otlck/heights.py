@@ -6,6 +6,14 @@ H(alpha) = M(min_poly)^(1/deg); the projective height over Q is computed
 exactly place by place and serves as the degree-1 oracle.  The
 root-of-unity test is purely exact polynomial arithmetic (Kronecker), so
 boundary ties at height 1 in the enumerator are always decidable.
+
+The enumerator sweeps one representative per orbit of f(x) -> f(-x) and
+f(x) -> x^d f(1/x), which preserve M(f), irreducibility and the
+root-of-unity property, and emits every member of an accepted orbit.  The
+representatives pass one batched numpy pre-filter, and each accepted one is
+isolated once per precision rung: the boxes give the certified Mahler
+interval, the height, and the exact value of M(f) on a tie with the bound
+(every root inside, every root outside, or every root on the unit circle).
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .polys import (
     is_irreducible,
     squarefree_decomposition,
     squarefree_part,
+    sturm_count,
 )
 from .roots import (
     DEFAULT_CTX,
@@ -67,27 +76,53 @@ class HeightValue:
         return float(self.value)
 
 
-def _mahler_interval(f: IntPoly, digits: int, ctx: PrecisionContext):
-    """Certified [lo, hi] enclosure of M(f) at roughly the given digits."""
-    cont, parts = squarefree_decomposition(f)
-    sub = PrecisionContext(
+def _sub_ctx(ctx: PrecisionContext, digits: int) -> PrecisionContext:
+    """The ladder of ctx, started at the given rung."""
+    return PrecisionContext(
         max(digits, ctx.working_digits), ctx.escalation_factor,
         max(ctx.max_digits, digits),
     )
+
+
+def _box_measure(lc: int, boxes):
+    """[lo, hi] enclosure of |lc| * prod max(1, |root|) over certified
+    boxes, at the working precision, before the final rounding slack."""
+    lo = hi = mpf(abs(lc))
+    for b in boxes:
+        a = b.ball().abs_ball()
+        lo *= max(mpf(1), a.lo)
+        hi *= max(mpf(1), a.hi)
+    return lo, hi
+
+
+def _slacked(lo, hi):
+    slack = mpf(2) ** (-mp.prec + 8)
+    return lo * (1 - slack), hi * (1 + slack)
+
+
+def _mahler_interval(f: IntPoly, digits: int, ctx: PrecisionContext):
+    """Certified [lo, hi] enclosure of M(f) at roughly the given digits."""
+    cont, parts = squarefree_decomposition(f)
+    sub = _sub_ctx(ctx, digits)
     with mp.workdps(digits + _GUARD):
         lo = hi = abs(mpf(cont.numerator) / mpf(cont.denominator))
         for g, mult in parts:
-            glo = ghi = mpf(abs(g.lc))
             if g.degree >= 1:
-                boxes = isolate_roots(g, sub)
-                for b in boxes:
-                    a = b.ball().abs_ball()
-                    glo *= max(mpf(1), a.lo)
-                    ghi *= max(mpf(1), a.hi)
+                glo, ghi = _box_measure(g.lc, isolate_roots(g, sub))
+            else:
+                glo = ghi = mpf(abs(g.lc))
             lo *= glo**mult
             hi *= ghi**mult
-        slack = mpf(2) ** (-mp.prec + 8)
-        return lo * (1 - slack), hi * (1 + slack)
+        return _slacked(lo, hi)
+
+
+def _height_enclosure(lo, hi, d: int, eps: Fraction) -> Optional[HeightValue]:
+    """H = M^(1/d) from a certified [lo, hi] enclosure of M, at the working
+    precision, or None when the enclosure is wider than eps."""
+    hlo, hhi = _slacked(lo ** (mpf(1) / d), hi ** (mpf(1) / d))
+    if hhi - hlo <= mpf(eps.numerator) / mpf(eps.denominator):
+        return HeightValue((hlo + hhi) / 2, (hhi - hlo) / 2)
+    return None
 
 
 def mahler_measure(f: IntPoly, eps=DEFAULT_EPS, ctx: PrecisionContext = DEFAULT_CTX) -> HeightValue:
@@ -147,16 +182,12 @@ def height_algebraic(a, eps=DEFAULT_EPS, ctx: PrecisionContext = DEFAULT_CTX) ->
     if _cyclotomic_minpoly(g):
         with mp.workdps(ctx.working_digits):
             return HeightValue(mpf(1), mpf(0), exact=Fraction(1))
-    d = g.degree
     for digits in ctx.ladder():
         lo, hi = _mahler_interval(g, digits, ctx)
         with mp.workdps(digits + _GUARD):
-            hlo = lo ** (mpf(1) / d)
-            hhi = hi ** (mpf(1) / d)
-            slack = mpf(2) ** (-mp.prec + 8)
-            hlo, hhi = hlo * (1 - slack), hhi * (1 + slack)
-            if hhi - hlo <= mpf(eps.numerator) / mpf(eps.denominator):
-                return HeightValue((hlo + hhi) / 2, (hhi - hlo) / 2)
+            hv = _height_enclosure(lo, hi, g.degree, eps)
+        if hv is not None:
+            return hv
     raise PrecisionExhausted("height did not converge below eps")
 
 
@@ -297,10 +328,22 @@ def enumerate_bounded_height(
     and absolute height <= h_max, one record per number, sorted by
     (degree, minimal-polynomial coefficients, root index).
 
-    Coefficients are swept inside the Mignotte-type box
-    |a_i| <= binom(d, i) * h_max^d; candidates are kept when primitive,
-    irreducible, and M(f) <= h_max^d with exact tie handling (ties at
-    M = 1 are settled by the exact cyclotomic test)."""
+    Coefficients of degree d >= 2 are swept inside the Mignotte-type box
+    |a_i| <= binom(d, i) * h_max^d, 1 <= lc <= h_max^d, 0 < |a_0| <= h_max^d.
+    The box is closed under f(x) -> f(-x) and f(x) -> x^d f(1/x) (with the
+    leading coefficient made positive), because binom(d, i) =
+    binom(d, d - i); both maps preserve M(f), primitivity, irreducibility
+    and the root-of-unity property.  So only the least coefficient tuple of
+    each orbit is decided, and every distinct member of an accepted orbit is
+    emitted with the representative's height.  Representatives pass a float
+    pre-filter M(f) <= h_max^d (1 + 1e-6), batched eigenvalue calls over
+    their companion matrices, and are kept when primitive, irreducible, and
+    M(f) <= h_max^d.  That last decision isolates the roots once per
+    precision rung; the same boxes give the height, and settle a tie
+    M(f) = h_max^d exactly (ties at M = 1 by the exact cyclotomic test;
+    otherwise every root inside the unit circle gives M = |lc|, every root
+    outside gives M = |a_0|, and a palindromic f with every root on the
+    circle, certified by a Sturm count, gives M = |lc|)."""
     if deg_max < 1 or deg_max > 6:
         raise InputError("deg_max must be between 1 and 6")
     h_max = Fraction(h_max)
@@ -308,11 +351,8 @@ def enumerate_bounded_height(
         raise InputError("h_max must be >= 1")
     total = 0
     for d in range(1, deg_max + 1):
-        bound = h_max**d
-        est = int(bound)  # positive leading coefficients only
-        for i in range(d):
-            est *= 2 * int(math.comb(d, i) * bound) + 1
-        total += est
+        limits, lc_max = _sweep_box(d, h_max**d)
+        total += lc_max * math.prod(2 * b + 1 for b in limits)
         if total > candidate_budget:
             raise BudgetExceeded(
                 f"candidate estimate {total} exceeds budget {candidate_budget}"
@@ -323,86 +363,167 @@ def enumerate_bounded_height(
     return out
 
 
+def _sweep_box(d: int, bound: Fraction):
+    """(limits, lc_max): |a_i| <= limits[i] for i < d and 1 <= lc <= lc_max."""
+    return [int(math.comb(d, i) * bound) for i in range(d)], int(bound)
+
+
 def _enumerate_degree(d: int, h_max: Fraction, ctx) -> List[EnumeratedNumber]:
-    bound = h_max**d
-    limits = [int(math.comb(d, i) * bound) for i in range(d)]
-    lc_max = int(bound)
     records = []
-    ranges = [range(-b, b + 1) for b in limits]
-    for lc in range(1, lc_max + 1):
-        for rest in itertools.product(*ranges):
-            coeffs = rest + (lc,)
-            if math.gcd(*[abs(c) for c in coeffs]) != 1:
-                continue
-            f = IntPoly(coeffs)
-            if d == 1:
-                h = Fraction(max(abs(coeffs[0]), coeffs[1]))
-                if h <= h_max:
+    if d == 1:
+        top = int(h_max)
+        for lc in range(1, top + 1):
+            for a0 in range(-top, top + 1):
+                if math.gcd(a0, lc) == 1:
+                    h = Fraction(max(abs(a0), lc))
                     hv = HeightValue(mpf(h.numerator) / mpf(h.denominator), mpf(0), exact=h)
-                    rou = coeffs[0] != 0 and h == 1
-                    records.append(EnumeratedNumber(f, 0, hv, rou))
-                continue
-            if coeffs[0] == 0:
-                continue  # x divides f
-            if abs(coeffs[0]) > bound:
-                continue  # |a_0| <= M(f)
-            if not _float_mahler_plausible(coeffs, bound):
-                continue
+                    records.append(EnumeratedNumber(IntPoly((a0, lc)), 0, hv, a0 != 0 and h == 1))
+        return records
+    bound = h_max**d
+    for reps in _orbit_representatives(d, bound):
+        for coeffs in reps[_mahler_plausible(reps, bound)].tolist():
+            f = IntPoly(coeffs)
             if not is_irreducible(f):
                 continue
-            accepted, hv, rou = _decide_candidate(f, d, h_max, bound, ctx)
+            accepted, hv, rou = _decide_candidate(f, bound, ctx)
             if accepted:
-                for idx in range(d):
-                    records.append(EnumeratedNumber(f, idx, hv, rou))
+                for member in _orbit(tuple(coeffs)):
+                    g = IntPoly(member)
+                    records.extend(EnumeratedNumber(g, idx, hv, rou) for idx in range(d))
     records.sort(key=lambda r: (r.min_poly.degree, r.min_poly.coeffs, r.root_index))
     return records
 
 
-def _float_mahler_plausible(coeffs, bound: Fraction) -> bool:
+def _orbit(coeffs: tuple) -> List[tuple]:
+    """The distinct members of the orbit of coeffs (ascending, a_0 != 0,
+    positive lc) under f(x) -> f(-x) and f(x) -> x^d f(1/x), each scaled by
+    -1 if needed to a positive leading coefficient."""
+    d = len(coeffs) - 1
+    flip = tuple(c if (i + d) % 2 == 0 else -c for i, c in enumerate(coeffs))
+    out = []
+    for g in (coeffs, flip):
+        for h in (g, tuple(c if g[0] > 0 else -c for c in reversed(g))):
+            if h not in out:
+                out.append(h)
+    return out
+
+
+_CHUNK = 1 << 16
+
+
+def _orbit_representatives(d: int, bound: Fraction):
+    """The least member of every orbit of primitive polynomials with
+    a_0 != 0 in the degree-d box, in chunks of int64 rows of ascending
+    coefficients.  A tuple's rank in the C-order flattening of the box is
+    its rank in lexicographic order, so it is kept when no image under the
+    maps of `_orbit` has a smaller flat index."""
     import numpy as np
 
-    roots = np.roots(list(reversed(coeffs)))
-    m = abs(coeffs[-1])
-    for r in roots:
-        m *= max(1.0, abs(r))
+    limits, lc_max = _sweep_box(d, bound)
+    shape = tuple(2 * b + 1 for b in limits) + (lc_max,)
+    offset = np.array(limits + [-1])
+    signs = np.array([1 if (i + d) % 2 == 0 else -1 for i in range(d + 1)])
+    total = math.prod(shape)
+    for start in range(0, total, _CHUNK):
+        flat = np.arange(start, min(start + _CHUNK, total))
+        rows = np.column_stack(np.unravel_index(flat, shape)) - offset
+        keep = (rows[:, 0] != 0) & (np.gcd.reduce(np.abs(rows), axis=1) == 1)
+        rows, flat = rows[keep], flat[keep]
+        flip = rows * signs
+        least = flat
+        for image in (flip, rows[:, ::-1] * np.sign(rows[:, :1]),
+                      flip[:, ::-1] * np.sign(flip[:, :1])):
+            rank = np.ravel_multi_index(tuple((image + offset).T), shape)
+            least = np.minimum(least, rank)
+        yield rows[flat == least]
+
+
+def _mahler_plausible(rows, bound: Fraction):
+    """Float pre-filter M(f) <= bound * (1 + 1e-6) for int rows of ascending
+    coefficients (a_0 != 0, lc > 0).  One batched eigvals call over the
+    companion matrices, each built as np.roots builds it, and the product
+    lc * prod max(1, |r|) formed one root column at a time, so every
+    decision is the one a per-polynomial np.roots loop gives."""
+    import numpy as np
+
+    n, d = rows.shape[0], rows.shape[1] - 1
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+    p = rows[:, ::-1].astype(float)
+    comp = np.zeros((n, d, d))
+    comp[:, 0, :] = -p[:, 1:] / p[:, :1]
+    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    roots = np.linalg.eigvals(comp)
+    m = p[:, 0]
+    for j in range(d):
+        m = m * np.maximum(1.0, np.abs(roots[:, j]))
     return m <= float(bound) * (1 + 1e-6)
 
 
-def _decide_candidate(f: IntPoly, d: int, h_max: Fraction, bound: Fraction, ctx):
+def _decide_candidate(f: IntPoly, bound: Fraction, ctx):
+    """(accepted, height, is_root_of_unity) for M(f) <= bound, f irreducible
+    and primitive of degree >= 2.  Each precision rung isolates f once; the
+    boxes give the Mahler interval, and the height when f is accepted."""
     if _cyclotomic_minpoly(f):
         hv = HeightValue(mpf(1), mpf(0), exact=Fraction(1))
         return True, hv, True
     # irreducible non-cyclotomic of degree >= 2: M(f) > 1 strictly
     if bound == 1:
         return False, None, False
+    accepted = False
     for digits in ctx.ladder():
-        lo, hi = _mahler_interval(f, digits, ctx)
-        lo_f, hi_f = mpf_to_fraction(lo), mpf_to_fraction(hi)
-        if hi_f <= bound:
-            hv = height_algebraic(AlgebraicNumber(f, None), DEFAULT_EPS, ctx)
+        boxes = isolate_roots(f, _sub_ctx(ctx, digits))
+        with mp.workdps(digits + _GUARD):
+            lo, hi = _slacked(*_box_measure(f.lc, boxes))
+            if not accepted:
+                if mpf_to_fraction(lo) > bound:
+                    return False, None, False
+                if mpf_to_fraction(hi) > bound:
+                    exact = _exact_tie_measure(f, boxes)
+                    if exact is None:
+                        continue
+                    if exact > bound:
+                        return False, None, False
+                    lo = hi = mpf(exact)
+                accepted = True
+            hv = _height_enclosure(lo, hi, f.degree, DEFAULT_EPS)
+        if hv is not None:
             return True, hv, False
-        if lo_f > bound:
-            return False, None, False
-        exact = _exact_mahler_if_all_outside(f, digits, ctx)
-        if exact is not None:
-            if exact <= bound:
-                hv = height_algebraic(AlgebraicNumber(f, None), DEFAULT_EPS, ctx)
-                return True, hv, False
-            return False, None, False
+    if accepted:
+        raise PrecisionExhausted(f"height of a root of {f} did not converge below eps")
     raise BoundaryTie(f"M({f}) sits on the boundary {bound} and is not decidable")
 
 
-def _exact_mahler_if_all_outside(f: IntPoly, digits: int, ctx) -> Optional[Fraction]:
-    """If every root is certified outside the unit circle, M(f) = |a_0|."""
-    sub = PrecisionContext(
-        max(digits, ctx.working_digits), ctx.escalation_factor,
-        max(ctx.max_digits, digits),
-    )
-    with mp.workdps(digits + _GUARD):
-        boxes = isolate_roots(f, sub)
-        if all(b.ball().abs_ball().lo > 1 for b in boxes):
-            return Fraction(abs(f.coeffs[0]))
+def _exact_tie_measure(f: IntPoly, boxes) -> Optional[int]:
+    """M(f) exactly, when the certified boxes put every root inside the unit
+    circle (M = |lc|) or outside it (M = |a_0|), or when f is palindromic
+    with every root on the circle (M = |lc|); else None.  f is irreducible
+    of degree >= 2."""
+    moduli = [b.ball().abs_ball() for b in boxes]
+    if all(a.hi < 1 for a in moduli) or _roots_on_unit_circle(f):
+        return abs(f.lc)
+    if all(a.lo > 1 for a in moduli):
+        return abs(f.coeffs[0])
     return None
+
+
+def _roots_on_unit_circle(f: IntPoly) -> bool:
+    """True iff the irreducible f of degree d = 2m >= 2 is palindromic and
+    all its roots lie on the unit circle.  Then f = x^m g(x + 1/x), and a
+    root z lies on the circle exactly when z + 1/z is real in (-2, 2) (the
+    ends would make +-1 a root); Sturm counts g's roots there."""
+    d = f.degree
+    if d % 2 or f.coeffs != f.coeffs[::-1]:
+        return False
+    m = d // 2
+    # P_k(x + 1/x) = x^k + x^-k: P_0 = 2, P_1 = y, P_{k+1} = y P_k - P_{k-1}
+    y = IntPoly((0, 1))
+    prev, cur = IntPoly((2,)), y
+    g = IntPoly((f.coeffs[m],))
+    for k in range(1, m + 1):
+        g = g + cur * f.coeffs[m + k]
+        prev, cur = cur, y * cur - prev
+    return sturm_count(g, -2, 2) == m
 
 
 # ---------------------------------------------------------------------------

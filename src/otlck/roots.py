@@ -2,8 +2,9 @@
 
 Roots are located by simultaneous Aberth-Ehrlich iteration, started from
 numpy's double-precision roots of the coefficients rounded to complex
-doubles (or, when a coefficient or a root falls outside the double range,
-from a circle of the Cauchy root radius), and certified a posteriori: around
+doubles (of the polynomial rescaled by x -> 2^k x when a coefficient falls
+outside the double range; from a circle of the Cauchy root radius when a
+root does), and certified a posteriori: around
 each approximation z_i we place the inclusion disk of radius
 d*(|f(z_i)| + e_i) / (|lc| * prod_{j!=i} |z_i - z_j|), where e_i is a
 running bound on the rounding error of the evaluation.  The union of these
@@ -124,19 +125,29 @@ def _horner(coeffs, z):
 
 def _double_start(coeffs):
     """Roots of the coefficients rounded to complex doubles, as mpc, or None
-    when a coefficient or a root is not a finite double."""
+    when np.roots fails or a root is not a finite double.  When a
+    coefficient is not a finite double, the roots are those of
+    2^-(e_d + dk) f(2^k x), scaled back by 2^k.  The scalings are exact
+    shifts of the binary exponents e_i = mag(c_i), and k is Fujiwara's
+    bound max_i ceil((e_i - e_d) / (d - i)), so the scaled roots are at most
+    about 2 in modulus and the scaled coefficients at most about 1."""
     import numpy as np
 
     cs = [complex(c) for c in reversed(coeffs)]
+    k = 0
     if not all(cmath.isfinite(c) for c in cs):
-        return None
+        d = len(coeffs) - 1
+        mags = [mp.mag(c) for c in coeffs]
+        k = max(-((mags[d] - mags[i]) // (d - i)) for i in range(d) if coeffs[i] != 0)
+        cs = [complex(c * mpf(2) ** (i * k - mags[d] - d * k))
+              for i, c in reversed(list(enumerate(coeffs)))]
     try:
         roots = np.roots(cs)
     except np.linalg.LinAlgError:
         return None
     if not np.isfinite(roots).all():
         return None
-    return [mpc(complex(r)) for r in roots]
+    return [mpc(complex(r)) * mpf(2) ** k for r in roots]
 
 
 def _aberth(coeffs, maxsteps, tol, warm=None):

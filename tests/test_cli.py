@@ -1,12 +1,14 @@
 """End-to-end CLI behaviour: output shape, determinism and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 from click.testing import CliRunner
+from mpmath import mp, mpc, mpf
 
 from otlck.cli import main
 
@@ -38,6 +40,19 @@ def test_element_minpoly_and_norm():
     data = json.loads(res2.output)
     assert data["norm"] == "-1"
     assert data["trace"] == "2"
+
+
+def test_element_norm_computes_char_poly_once(monkeypatch):
+    from otlck import numberfield
+
+    calls = []
+    real = numberfield.char_poly
+    monkeypatch.setattr(numberfield, "char_poly", lambda a: calls.append(a) or real(a))
+    res = run("element", "norm", "x^3 - x - 1", '["1","2","0"]')
+    assert res.exit_code == 0
+    assert len(calls) == 1
+    # 1 + 2x: norm = -(2^3) f(-1/2) = 5, trace = 3 + 2 * 0
+    assert json.loads(res.output) == {"norm": "5", "trace": "3"}
 
 
 def test_element_bad_json_exit_2():
@@ -88,6 +103,40 @@ def test_enumerate_lines():
     coeffs, height, rou = lines[0].split("\t")
     json.loads(coeffs)
     assert rou in ("true", "false")
+
+
+def _brute_force_height_2():
+    """Primitive irreducible polynomials of degree <= 2 with M(f) <= 2^deg,
+    from a box wider than the Mignotte box; M from the quadratic formula
+    at 60 digits, with a tie counted as inside."""
+    out = {(p, q) for q in range(1, 6) for p in range(-5, 6)
+           if math.gcd(p, q) == 1 and max(abs(p), q) <= 2}
+    with mp.workdps(60):
+        for a in range(1, 7):
+            for b in range(-10, 11):
+                for c in range(-6, 7):
+                    disc = b * b - 4 * a * c
+                    square = disc >= 0 and math.isqrt(disc) ** 2 == disc
+                    if c == 0 or math.gcd(a, b, c) != 1 or square:
+                        continue
+                    m = mpf(a)
+                    for sign in (1, -1):
+                        m *= max(1, abs((-b + sign * mp.sqrt(mpc(disc))) / (2 * a)))
+                    if m <= 4 + mpf(10) ** -40:
+                        out.add((c, b, a))
+    return out
+
+
+def test_enumerate_boundary_ties_decided():
+    # M(f) = 4 exactly: 4x^2 - 3 (roots inside), x^2 + x + 4 (roots
+    # outside), 4x^2 - 7x + 4 (palindromic, roots on the unit circle)
+    res = run("enumerate", "--deg", "2", "--bound", "2")
+    assert res.exit_code == 0
+    coeffs = [tuple(json.loads(line.split("\t")[0])) for line in res.output.splitlines()]
+    want = _brute_force_height_2()
+    assert set(coeffs) == want
+    assert all(coeffs.count(c) == len(c) - 1 for c in want)
+    assert {(-3, 0, 4), (4, 1, 1), (4, -7, 4)} <= want
 
 
 def test_enumerate_budget_exit_4():

@@ -1,10 +1,12 @@
 """Mahler measures, absolute heights, the Kronecker test and the bounded
 height enumeration."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,13 @@ from otlck import (
     search_equal_modulus_units,
     unit_point_height,
 )
-from otlck.heights import _match_ratio_factor
+from otlck.heights import (
+    _match_ratio_factor,
+    _mahler_plausible,
+    _orbit,
+    _orbit_representatives,
+    _roots_on_unit_circle,
+)
 from otlck.numberfield import min_poly_int
 from otlck.polys import (
     RatPoly,
@@ -247,3 +255,109 @@ def test_match_ratio_factor_against_polyroots(quintic, coeffs):
         for fac in factors:
             value = abs(mp.polyval(list(fac.coeffs[::-1]), ratio))
             assert (value < mpf(10) ** -40) == (fac == target), fac
+
+
+# ---------------------------------------------------------------------------
+# The orbit sweep against per-candidate references
+
+
+def _box_rows(d, bound):
+    """Every coefficient tuple of the degree-d sweep box with a_0 != 0."""
+    limits = [int(math.comb(d, i) * bound) for i in range(d)]
+    for lc in range(1, int(bound) + 1):
+        for rest in itertools.product(*[range(-b, b + 1) for b in limits]):
+            if rest[0] != 0:
+                yield rest + (lc,)
+
+
+def _np_roots_plausible(coeffs, bound):
+    """The per-candidate float filter the batched one replaces."""
+    m = abs(coeffs[-1])
+    for r in np.roots(list(reversed(coeffs))):
+        m *= max(1.0, abs(r))
+    return m <= float(bound) * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("d, h", [(2, "7/4"), (3, "3/2"), (4, "11/10")])
+def test_batched_filter_matches_np_roots(d, h):
+    bound = Fraction(h) ** d
+    rows = list(_box_rows(d, bound))
+    got = _mahler_plausible(np.array(rows), bound)
+    want = [_np_roots_plausible(c, bound) for c in rows]
+    assert got.tolist() == want
+    assert 0 < sum(want) < len(want)
+
+
+def _reference_orbit(coeffs):
+    """f(x), f(-x), x^d f(1/x) and x^d f(-1/x), primitive with lc > 0."""
+    f = IntPoly(coeffs)
+    neg = IntPoly(tuple(c * (-1) ** i for i, c in enumerate(coeffs))).primitive()
+    return {g.coeffs for g in (f, neg, f.reverse().primitive(), neg.reverse().primitive())}
+
+
+@pytest.mark.parametrize("d, h", [(3, "3/2"), (4, "11/10")])
+def test_orbit_representatives_are_least_members(d, h):
+    bound = Fraction(h) ** d
+    primitive = [c for c in _box_rows(d, bound) if math.gcd(*c) == 1]
+    reps = {tuple(r) for chunk in _orbit_representatives(d, bound) for r in chunk.tolist()}
+    assert reps == {min(_reference_orbit(c)) for c in primitive}
+    for rep in reps:
+        assert sorted(_orbit(rep)) == sorted(_reference_orbit(rep))
+
+
+def _reference_sweep(d, h_max):
+    """The per-candidate sweep: every box candidate through the np.roots
+    filter, irreducibility, and a Mahler measure and height of its own.
+    For a bound h_max^d that is not an integer no tie can occur."""
+    bound = h_max**d
+    out = []
+    for coeffs in _box_rows(d, bound):
+        f = IntPoly(coeffs)
+        if math.gcd(*coeffs) != 1 or not _np_roots_plausible(coeffs, bound):
+            continue
+        if not is_irreducible(f):
+            continue
+        if is_root_of_unity(f):
+            hv, rou = height_algebraic(f), True
+        else:
+            m = mahler_measure(f, ctx=CTX)
+            assert abs(m.value - mpf(bound.numerator) / bound.denominator) > m.error
+            if m.value > mpf(bound.numerator) / bound.denominator:
+                continue
+            hv, rou = height_algebraic(f, ctx=CTX), False
+        out.extend((coeffs, idx, hv, rou) for idx in range(d))
+    return sorted(out, key=lambda rec: rec[:2])
+
+
+@pytest.mark.parametrize("d, h", [(2, "7/4"), (3, "5/4"), (4, "11/10")])
+def test_orbit_sweep_matches_per_candidate_reference(d, h):
+    h_max = Fraction(h)
+    got = [r for r in enumerate_bounded_height(d, h_max, CTX) if r.min_poly.degree == d]
+    want = _reference_sweep(d, h_max)
+    assert [(r.min_poly.coeffs, r.root_index, r.height.exact, r.is_root_of_unity)
+            for r in got] == [(c, i, hv.exact, rou) for c, i, hv, rou in want]
+    for r, (_, _, hv, _) in zip(got, want):
+        assert abs(r.height.value - hv.value) <= r.height.error + hv.error
+
+
+@pytest.mark.parametrize("d, h", [(2, "7/4"), (4, "11/10")])
+def test_orbit_member_heights_contain_polyroots(d, h):
+    records = [r for r in enumerate_bounded_height(d, Fraction(h), CTX)
+               if r.min_poly.degree == d and r.root_index == 0]
+    with mp.workdps(60):
+        for r in records:
+            c = r.min_poly.coeffs
+            m = mpf(c[-1])
+            for z in mp.polyroots(c[::-1], maxsteps=200, extraprec=200):
+                m *= max(1, abs(z))
+            ref = m ** (mpf(1) / d)
+            assert abs(r.height.value - ref) <= r.height.error + mpf(10) ** -55, c
+
+
+def test_roots_on_unit_circle_route():
+    assert _roots_on_unit_circle(IntPoly((4, -7, 4)))
+    assert _roots_on_unit_circle(IntPoly((1, 1, 1, 1, 1)))  # Phi_5
+    assert not _roots_on_unit_circle(IntPoly((1, -3, 1)))  # real roots
+    lehmer = IntPoly((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
+    assert not _roots_on_unit_circle(lehmer)  # a Salem polynomial
+    assert not _roots_on_unit_circle(IntPoly((-3, 0, 4)))  # not palindromic

@@ -162,13 +162,14 @@ def test_certified_sign():
 
 
 def test_isolate_beyond_double_range_without_warning():
-    # the constant term overflows a double, so the numpy start is skipped
-    # and the iteration starts from the Cauchy circle
+    # the constant term overflows a double, so the numpy start comes from
+    # the polynomial scaled into the double range, and converges first time
     f = IntPoly((-(10**310 + 3), 1, 0, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         boxes = isolate_roots(f, CTX)
     assert [b.kind for b in boxes] == ["real", "complex_upper", "complex_lower"]
+    assert [b.digits for b in boxes] == [64, 64, 64]
     assert sturm_count(f) == 1
     with mp.workdps(boxes[0].digits + 20):
         lo = mpf_to_fraction(boxes[0].center - boxes[0].radius)
