@@ -378,33 +378,43 @@ def _enumerate_degree(d: int, h_max: Fraction, ctx) -> List[EnumeratedNumber]:
                     h = Fraction(max(abs(a0), lc))
                     hv = HeightValue(mpf(h.numerator) / mpf(h.denominator), mpf(0), exact=h)
                     records.append(EnumeratedNumber(IntPoly((a0, lc)), 0, hv, a0 != 0 and h == 1))
-        return records
-    bound = h_max**d
-    for reps in _orbit_representatives(d, bound):
-        for coeffs in reps[_mahler_plausible(reps, bound)].tolist():
-            f = IntPoly(coeffs)
-            if not is_irreducible(f):
-                continue
-            accepted, hv, rou = _decide_candidate(f, bound, ctx)
-            if accepted:
-                for member in _orbit(tuple(coeffs)):
-                    g = IntPoly(member)
-                    records.extend(EnumeratedNumber(g, idx, hv, rou) for idx in range(d))
+    else:
+        bound = h_max**d
+        for reps in _orbit_representatives(d, bound):
+            for coeffs in reps[_mahler_plausible(reps, bound)].tolist():
+                f = IntPoly(coeffs)
+                if not is_irreducible(f):
+                    continue
+                accepted, hv, rou = _decide_candidate(f, bound, ctx)
+                if accepted:
+                    for member in _orbit(coeffs):
+                        g = IntPoly(member)
+                        records.extend(EnumeratedNumber(g, idx, hv, rou) for idx in range(d))
     records.sort(key=lambda r: (r.min_poly.degree, r.min_poly.coeffs, r.root_index))
     return records
 
 
-def _orbit(coeffs: tuple) -> List[tuple]:
+def _orbit_images(rows):
+    """The images of int rows of ascending coefficients (a_0 != 0, lc > 0)
+    under f(x) -> f(-x), f(x) -> x^d f(1/x) and both, each scaled by -1 if
+    needed to a positive leading coefficient."""
+    import numpy as np
+
+    d = rows.shape[1] - 1
+    flip = rows * np.array([1 if (i + d) % 2 == 0 else -1 for i in range(d + 1)])
+    return flip, rows[:, ::-1] * np.sign(rows[:, :1]), flip[:, ::-1] * np.sign(flip[:, :1])
+
+
+def _orbit(coeffs) -> List[tuple]:
     """The distinct members of the orbit of coeffs (ascending, a_0 != 0,
-    positive lc) under f(x) -> f(-x) and f(x) -> x^d f(1/x), each scaled by
-    -1 if needed to a positive leading coefficient."""
-    d = len(coeffs) - 1
-    flip = tuple(c if (i + d) % 2 == 0 else -c for i, c in enumerate(coeffs))
-    out = []
-    for g in (coeffs, flip):
-        for h in (g, tuple(c if g[0] > 0 else -c for c in reversed(g))):
-            if h not in out:
-                out.append(h)
+    positive lc) under the maps of `_orbit_images`, coeffs first."""
+    import numpy as np
+
+    out = [tuple(coeffs)]
+    for image in _orbit_images(np.array([coeffs])):
+        member = tuple(image[0].tolist())
+        if member not in out:
+            out.append(member)
     return out
 
 
@@ -416,23 +426,20 @@ def _orbit_representatives(d: int, bound: Fraction):
     a_0 != 0 in the degree-d box, in chunks of int64 rows of ascending
     coefficients.  A tuple's rank in the C-order flattening of the box is
     its rank in lexicographic order, so it is kept when no image under the
-    maps of `_orbit` has a smaller flat index."""
+    maps of `_orbit_images` has a smaller flat index."""
     import numpy as np
 
     limits, lc_max = _sweep_box(d, bound)
     shape = tuple(2 * b + 1 for b in limits) + (lc_max,)
     offset = np.array(limits + [-1])
-    signs = np.array([1 if (i + d) % 2 == 0 else -1 for i in range(d + 1)])
     total = math.prod(shape)
     for start in range(0, total, _CHUNK):
         flat = np.arange(start, min(start + _CHUNK, total))
         rows = np.column_stack(np.unravel_index(flat, shape)) - offset
         keep = (rows[:, 0] != 0) & (np.gcd.reduce(np.abs(rows), axis=1) == 1)
         rows, flat = rows[keep], flat[keep]
-        flip = rows * signs
         least = flat
-        for image in (flip, rows[:, ::-1] * np.sign(rows[:, :1]),
-                      flip[:, ::-1] * np.sign(flip[:, :1])):
+        for image in _orbit_images(rows):
             rank = np.ravel_multi_index(tuple((image + offset).T), shape)
             least = np.minimum(least, rank)
         yield rows[flat == least]

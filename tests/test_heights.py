@@ -177,9 +177,10 @@ def test_enumerate_deg2_h1():
 
 
 def test_enumerate_sorted_and_validated():
-    records = enumerate_bounded_height(2, Fraction(1), CTX)
-    keys = [(r.min_poly.degree, r.min_poly.coeffs, r.root_index) for r in records]
-    assert keys == sorted(keys)
+    for deg_max, h_max in ((2, Fraction(1)), (1, Fraction(2)), (1, Fraction(7, 2))):
+        records = enumerate_bounded_height(deg_max, h_max, CTX)
+        keys = [(r.min_poly.degree, r.min_poly.coeffs, r.root_index) for r in records]
+        assert keys == sorted(keys)
     with pytest.raises(InputError):
         enumerate_bounded_height(0, Fraction(2), CTX)
     with pytest.raises(InputError):
