@@ -10,19 +10,20 @@ boundary ties at height 1 in the enumerator are always decidable.
 The enumerator sweeps one representative per orbit of f(x) -> f(-x) and
 f(x) -> x^d f(1/x), which preserve M(f), irreducibility and the
 root-of-unity property, and emits every member of an accepted orbit.  The
-representatives pass one batched numpy pre-filter, and each accepted one is
-isolated once per precision rung: the boxes give the certified Mahler
-interval, the height, and the exact value of M(f) on a tie with the bound
-(every root inside, every root outside, or every root on the unit circle).
+representatives pass one batched numpy pre-filter and one batched exact
+factor sieve, which tries every factor that Mignotte's bound allows as an
+integer matrix product, and each accepted one is isolated once per
+precision rung: the boxes give the certified Mahler interval, the height,
+and the exact value of M(f) on a tie with the bound (every root inside,
+every root outside, or every root on the unit circle).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import sympy
 from mpmath import mp, mpf
@@ -34,7 +35,6 @@ from .polys import (
     IntPoly,
     conjugate_ratio_poly,
     factor_int_poly,
-    is_irreducible,
     squarefree_decomposition,
     squarefree_part,
     sturm_count,
@@ -46,7 +46,6 @@ from .roots import (
     isolate_roots,
     mpf_to_fraction,
 )
-from .units import Decision, UnitSubgroup, is_equal_modulus
 
 _GUARD = 12
 DEFAULT_EPS = Fraction(1, 10**30)
@@ -271,7 +270,10 @@ def unit_point_height(
         with mp.workdps(ctx.working_digits):
             return HeightValue(mpf(1), mpf(0), exact=Fraction(1))
     ratio_sf = squarefree_part(conjugate_ratio_poly(g))
-    factors = [f for f, _ in factor_int_poly(ratio_sf)]
+    # the ratio polynomial has degree d^2 with (x - 1)^d among its factors,
+    # so its squarefree part has degree at most d(d - 1) + 1
+    cap = g.degree * (g.degree - 1) + 1
+    factors = [f for f, _ in factor_int_poly(ratio_sf, cap)]
     target = _match_ratio_factor(u, ratio_sf, factors, ctx)
     if _cyclotomic_minpoly(target):
         with mp.workdps(ctx.working_digits):
@@ -338,8 +340,10 @@ def enumerate_bounded_height(
     emitted with the representative's height.  Representatives pass a float
     pre-filter M(f) <= h_max^d (1 + 1e-6), batched eigenvalue calls over
     their companion matrices, and are kept when primitive, irreducible, and
-    M(f) <= h_max^d.  That last decision isolates the roots once per
-    precision rung; the same boxes give the height, and settle a tie
+    M(f) <= h_max^d.  Irreducibility is decided exactly for a whole batch by
+    `_irreducible_rows`, which tries every factor that Mignotte's bound
+    allows by an integer matrix product.  The decision M(f) <= h_max^d
+    isolates the roots once per precision rung; the same boxes give the height, and settle a tie
     M(f) = h_max^d exactly (ties at M = 1 by the exact cyclotomic test;
     otherwise every root inside the unit circle gives M = |lc|, every root
     outside gives M = |a_0|, and a palindromic f with every root on the
@@ -381,10 +385,9 @@ def _enumerate_degree(d: int, h_max: Fraction, ctx) -> List[EnumeratedNumber]:
     else:
         bound = h_max**d
         for reps in _orbit_representatives(d, bound):
-            for coeffs in reps[_mahler_plausible(reps, bound)].tolist():
+            survivors = reps[_mahler_plausible(reps, bound)]
+            for coeffs in survivors[_irreducible_rows(survivors)].tolist():
                 f = IntPoly(coeffs)
-                if not is_irreducible(f):
-                    continue
                 accepted, hv, rou = _decide_candidate(f, bound, ctx)
                 if accepted:
                     for member in _orbit(coeffs):
@@ -467,6 +470,95 @@ def _mahler_plausible(rows, bound: Fraction):
     return m <= float(bound) * (1 + 1e-6)
 
 
+# int64 cells in one block of the factor sieve: the reduction matrices of a
+# slice of candidates, or their product with a slice of rows
+_SIEVE_CELLS = 1 << 20
+
+
+def _irreducible_rows(rows):
+    """Exact irreducibility over Q of int rows of ascending coefficients
+    (primitive, a_0 != 0, lc > 0), as a bool mask.
+
+    A reducible primitive f of degree d has a primitive factor g of degree
+    k <= d/2 with leading coefficient c > 0, where c | lc(f), g(0) | a_0
+    and |g_i| <= binom(k, i) M(g) <= binom(k, i) M(f) <= binom(k, i) ||f||_2
+    (Mignotte's factor bound and Landau's inequality).  Every such g is
+    tried exactly: row j of the (d+1) x k integer matrix of g is x^j mod g
+    times a power of c, so the row of f times that matrix is
+    c^(d-k+1) (f mod g), zero iff g | f.  Rows sharing (lc, |a_0|) share
+    their candidates, which are tried by `_factor_found`."""
+    import numpy as np
+
+    rows = np.asarray(rows, dtype=np.int64)
+    irreducible = np.ones(len(rows), dtype=bool)
+    d = rows.shape[1] - 1
+    if len(rows) == 0 or d < 2:
+        return irreducible
+    keys, group, counts = np.unique(
+        np.column_stack([rows[:, -1], np.abs(rows[:, 0])]),
+        axis=0, return_inverse=True, return_counts=True,
+    )
+    members = np.split(np.argsort(group.reshape(-1), kind="stable"), np.cumsum(counts)[:-1])
+    for (lc, a0), idx in zip(keys.tolist(), members):
+        group_rows = rows[idx].tolist()
+        norm_sq = max(sum(v * v for v in r) for r in group_rows)
+        norm_1 = max(sum(abs(v) for v in r) for r in group_rows)
+        for k in range(1, d // 2 + 1):
+            idx = idx[irreducible[idx]]
+            if len(idx) == 0:
+                break
+            found = _factor_found(rows[idx], k, lc, a0, norm_sq, norm_1)
+            irreducible[idx[found]] = False
+    return irreducible
+
+
+def _factor_found(rows, k: int, lc: int, a0: int, norm_sq: int, norm_1: int):
+    """Bool mask of the rows (all with leading coefficient lc and
+    |a_0| = a0, ||f||_2^2 <= norm_sq, ||f||_1 <= norm_1) divisible by a
+    candidate g of degree k of `_irreducible_rows`.  The candidates are
+    tried in slices and the rows in blocks of at most _SIEVE_CELLS int64
+    cells.  Every entry of a reduction matrix is at most
+    (c + G)^(d-k+1), with G the largest |g_i| below the leading one, so
+    every product entry is at most ||f||_1 (c + G)^(d-k+1); BudgetExceeded
+    is raised before that could reach 2^63."""
+    import numpy as np
+
+    d = rows.shape[1] - 1
+    cs = np.array(sympy.divisors(lc), dtype=np.int64)
+    es = np.array([s * e for e in sympy.divisors(a0) for s in (1, -1)], dtype=np.int64)
+    mids = [math.isqrt(math.comb(k, i) ** 2 * norm_sq) for i in range(1, k)]
+    entry_max = (lc + max([a0] + mids)) ** (d - k + 1)
+    if norm_1 * entry_max >= 2**63:
+        raise BudgetExceeded(
+            f"factor sieve entries up to {norm_1 * entry_max} exceed int64"
+        )
+    shape = (len(cs), len(es)) + tuple(2 * b + 1 for b in mids)
+    total = math.prod(shape)
+    found = np.zeros(len(rows), dtype=bool)
+    # row j is scaled by c^(d - max(j, k - 1)) on top of its own c^max(0, j - k + 1)
+    powers = np.array([d - max(j, k - 1) for j in range(d + 1)])
+    step = max(1, _SIEVE_CELLS // ((d + 1) * k))
+    for start in range(0, total, step):
+        cand = np.unravel_index(np.arange(start, min(start + step, total)), shape)
+        c = cs[cand[0]]
+        low = np.column_stack([es[cand[1]]] + [m - b for m, b in zip(cand[2:], mids)])
+        red = np.zeros((d + 1, len(c), k), dtype=np.int64)
+        red[np.arange(k), :, np.arange(k)] = 1
+        for j in range(k, d + 1):
+            # x^j = x * x^(j-1), and c x^k = -(g_0 + ... + g_(k-1) x^(k-1))
+            red[j, :, 1:] = c[:, None] * red[j - 1, :, :-1]
+            red[j] -= red[j - 1, :, k - 1 :] * low
+        red *= (c[None, :] ** powers[:, None])[:, :, None]
+        red = red.reshape(d + 1, -1)
+        todo = np.flatnonzero(~found)
+        block = max(1, _SIEVE_CELLS // red.shape[1])
+        for lo in range(0, len(todo), block):
+            sub = todo[lo : lo + block]
+            prod = (rows[sub] @ red).reshape(len(sub), len(c), k)
+            found[sub] = (prod == 0).all(axis=2).any(axis=1)
+    return found
+
+
 def _decide_candidate(f: IntPoly, bound: Fraction, ctx):
     """(accepted, height, is_root_of_unity) for M(f) <= bound, f irreducible
     and primitive of degree >= 2.  Each precision rung isolates f once; the
@@ -531,33 +623,3 @@ def _roots_on_unit_circle(f: IntPoly) -> bool:
         g = g + cur * f.coeffs[m + k]
         prev, cur = cur, y * cur - prev
     return sturm_count(g, -2, 2) == m
-
-
-# ---------------------------------------------------------------------------
-# Empirical search for equal-modulus units
-
-
-def search_equal_modulus_units(
-    group: UnitSubgroup, exponent_box: int
-) -> List[FieldElement]:
-    """All products +-prod g_i^{e_i} with |e_i| <= exponent_box that pass the
-    exact equal-modulus decision, in deterministic sweep order."""
-    if exponent_box < 0:
-        raise InputError("exponent_box must be >= 0")
-    fld = group.field
-    k = len(group.generators)
-    seen = set()
-    passing = []
-    for exps in itertools.product(range(-exponent_box, exponent_box + 1), repeat=k):
-        u = fld.one()
-        for g, e in zip(group.generators, exps):
-            if e:
-                u = u * g**e
-        for torsion in (fld.one(), -fld.one()):
-            v = u * torsion
-            if v.coeffs in seen:
-                continue
-            seen.add(v.coeffs)
-            if is_equal_modulus(v, group.ctx).value:
-                passing.append(v)
-    return passing

@@ -16,10 +16,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import sympy
-from mpmath import mp
 from sympy.abc import x as _sx, y as _sy
 
 from .balls import ComplexBall, horner_ball
@@ -34,8 +33,6 @@ from .polys import (
     sturm_count,
 )
 from .roots import DEFAULT_CTX, PrecisionContext, RootBox, isolate_roots
-
-_EMBED_GUARD = 12
 
 
 class NumberField:
@@ -329,9 +326,3 @@ def element_ball(a: FieldElement, i: int, digits: int) -> ComplexBall:
     boxes = a.field.embeddings(digits)
     box = boxes[i]
     return horner_ball(a.coeffs, box.ball())
-
-
-def embedding_values(a: FieldElement, digits: int) -> List[ComplexBall]:
-    """All sigma_i(a) enclosures in embedding order."""
-    with mp.workdps(digits + _EMBED_GUARD):
-        return [element_ball(a, i, digits) for i in range(a.field.degree)]

@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 import sympy
 from sympy.abc import x as _sx, y as _sy
@@ -436,7 +436,12 @@ def sturm_count(f: IntPoly, lo=None, hi=None) -> int:
     (lo, hi].  None stands for -inf (lo) / +inf (hi)."""
     if not is_squarefree(f):
         raise InputError("sturm_count requires a squarefree polynomial")
-    chain = _sturm_chain(f)
+    return _chain_count(_sturm_chain(f), lo, hi)
+
+
+def _chain_count(chain, lo=None, hi=None) -> int:
+    """Sturm's count of roots in (lo, hi] from the Sturm chain of a
+    squarefree polynomial; None stands for -inf (lo) / +inf (hi)."""
 
     def value_at(p: RatPoly, point):
         if point is _NINF:

@@ -20,15 +20,22 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional
 
 from mpmath import mp, mpc, mpf
 
-from .balls import ComplexBall, RealBall, horner_ball
+from .balls import ComplexBall
 from .errors import InputError, PrecisionExhausted
-from .polys import IntPoly, conjugate_sum_poly, discriminant, is_squarefree
+from .polys import (
+    IntPoly,
+    _chain_count,
+    _sturm_chain,
+    conjugate_sum_poly,
+    discriminant,
+    is_squarefree,
+)
 
 # guard digits added on top of the requested working precision
 _GUARD = 12
@@ -313,8 +320,6 @@ def isolate_roots(f: IntPoly, ctx: PrecisionContext = DEFAULT_CTX) -> List[RootB
         raise InputError("need degree >= 1")
     if not is_squarefree(f):
         raise InputError("isolate_roots requires a squarefree polynomial")
-    from .polys import sturm_count
-
     d = f.degree
     if d == 1:
         q = Fraction(-f.coeffs[0], f.coeffs[1])
@@ -323,7 +328,7 @@ def isolate_roots(f: IntPoly, ctx: PrecisionContext = DEFAULT_CTX) -> List[RootB
             r = abs(c) * mpf(2) ** (-mp.prec + 4) + mpf(2) ** (-mp.prec + 4)
         return [RootBox(c, r, "real", None, 0, ctx.working_digits)]
 
-    nreal = sturm_count(f, None, None)
+    nreal = _chain_count(_sturm_chain(f))
     sum_poly_sep = {}
 
     def sum_sep():
@@ -381,48 +386,6 @@ def isolate_roots(f: IntPoly, ctx: PrecisionContext = DEFAULT_CTX) -> List[RootB
     raise PrecisionExhausted(
         f"could not isolate roots of {f} within {ctx.max_digits} digits"
     )
-
-
-def refine_root(
-    f: IntPoly, box: RootBox, eps, ctx: PrecisionContext = DEFAULT_CTX
-) -> RootBox:
-    """Shrink an isolating box below eps (same root, certified by unique
-    intersection with the original disk)."""
-    eps_f = Fraction(eps) if not isinstance(eps, Fraction) else eps
-    if eps_f <= 0:
-        raise InputError("eps must be positive")
-    with mp.workdps(box.digits + _GUARD):
-        eps_mp = mpf(eps_f.numerator) / mpf(eps_f.denominator)
-        if box.radius <= eps_mp:
-            return box
-    want = max(
-        ctx.working_digits,
-        box.digits,
-        int(-mp.log10(float(eps_f)) if float(eps_f) > 0 else 0) + 10,
-    )
-    digits = ctx.working_digits
-    while digits < want:
-        digits *= ctx.escalation_factor
-    sub = PrecisionContext(digits, ctx.escalation_factor, ctx.max_digits) \
-        if digits <= ctx.max_digits else None
-    if sub is None:
-        raise PrecisionExhausted("refinement target exceeds max_digits")
-    while True:
-        boxes = isolate_roots(f, sub)
-        with mp.workdps(sub.working_digits + _GUARD):
-            eps_mp = mpf(eps_f.numerator) / mpf(eps_f.denominator)
-            old_c = mpc(box.center)
-            cands = [
-                b
-                for b in boxes
-                if abs(mpc(b.center) - old_c) <= box.radius + b.radius
-            ]
-            if len(cands) == 1 and cands[0].radius <= eps_mp:
-                return cands[0]
-        nxt = sub.working_digits * ctx.escalation_factor
-        if nxt > ctx.max_digits:
-            raise PrecisionExhausted("could not refine below eps")
-        sub = PrecisionContext(nxt, ctx.escalation_factor, ctx.max_digits)
 
 
 def certified_sign(ball_fn, ctx: PrecisionContext = DEFAULT_CTX) -> int:

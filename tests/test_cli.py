@@ -176,6 +176,24 @@ def test_subgroup_and_audit():
     assert rep["lck"] is False
 
 
+def test_t2_sextic_audits_exit_0():
+    # the ratio polynomial of a degree-6 unit has degree 31 > the default
+    # factoring cap of 24, which once ended these audits with exit 4
+    heights = {}
+    for poly in ["x^6 + x - 1", "x^6 - x^5 - 1", "x^6 - 2x - 1"]:
+        res = run("audit", poly, '["0","1","0","0","0","0"]')
+        assert res.exit_code == 0, res.output
+        rep = json.loads(res.output)
+        assert rep["status"] == "CONSISTENT"
+        assert rep["signature"] == [2, 2]
+        assert rep["lck"] is False
+        (entry,) = rep["unit_point_heights"]
+        assert entry["unit_point_height"] > 1
+        heights[poly] = entry["unit_point_height"]
+    # theta -> 1/theta maps one field to the other and inverts the ratio
+    assert math.isclose(heights["x^6 + x - 1"], heights["x^6 - x^5 - 1"], rel_tol=1e-12)
+
+
 def test_lck_check():
     res = run("lck", "check", "x^3 - x - 1", '["0","1","0"]')
     assert json.loads(res.output)["lck"] is True

@@ -14,20 +14,20 @@ from mpmath import mp, mpf
 
 from otlck import (
     BoundaryTie,
+    BudgetExceeded,
     InputError,
     IntPoly,
     PrecisionContext,
-    UnitSubgroup,
     enumerate_bounded_height,
     height_algebraic,
     is_root_of_unity,
     mahler_measure,
     new_field,
     projective_height_rational,
-    search_equal_modulus_units,
     unit_point_height,
 )
 from otlck.heights import (
+    _irreducible_rows,
     _match_ratio_factor,
     _mahler_plausible,
     _orbit,
@@ -204,12 +204,6 @@ def test_enumerate_brute_force_degree_one():
     assert got == expected
 
 
-def test_search_equal_modulus_trivial_group(zeta5):
-    group = UnitSubgroup(zeta5, [], CTX)
-    found = search_equal_modulus_units(group, 0)
-    assert len(found) == 2  # +-1
-
-
 def _divides_x_n_minus_1(g: IntPoly) -> bool:
     """Reference root-of-unity test: x^n = 1 mod g for some n <= 2 deg^2."""
     mod, one = g.to_rat(), RatPoly((Fraction(1),))
@@ -362,3 +356,48 @@ def test_roots_on_unit_circle_route():
     lehmer = IntPoly((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
     assert not _roots_on_unit_circle(lehmer)  # a Salem polynomial
     assert not _roots_on_unit_circle(IntPoly((-3, 0, 4)))  # not palindromic
+
+
+# ---------------------------------------------------------------------------
+# The exact factor sieve against is_irreducible
+
+
+@pytest.mark.parametrize("d, h", [(2, "3"), (3, "3/2"), (4, "11/10")])
+def test_factor_sieve_matches_is_irreducible(d, h):
+    # every orbit representative, not only the filter survivors, so rows
+    # with M(f) far above the bound are decided too
+    rows = np.concatenate(list(_orbit_representatives(d, Fraction(h) ** d)))
+    want = [is_irreducible(IntPoly(r)) for r in rows.tolist()]
+    assert _irreducible_rows(rows).tolist() == want
+    assert 0 < sum(want) < len(want)
+
+
+def test_factor_sieve_hand_built_rows():
+    cubic = IntPoly((-1, -1, 0, 1))  # x^3 - x - 1
+    quadratic = IntPoly((1, 1, 1))  # x^2 + x + 1
+    quartics = [
+        IntPoly((1, 3, 1)) * IntPoly((1, -3, 1)),  # x^4 - 7x^2 + 1
+        IntPoly((2, 5, 3)) * IntPoly((-1, 4, 1)),  # lc 3, a_0 -2
+        IntPoly((1, 0, 0, 0, 1)),  # Phi_8
+        IntPoly((-1, -1, 0, 0, 1)),
+    ]
+    sextics = [
+        cubic * IntPoly((1, -1, 0, 1)),  # (x^3 - x - 1)(x^3 - x + 1)
+        IntPoly((-2, 0, 3, 1)) * IntPoly((5, -2, 0, 1)),  # cubic factors, larger middles
+        IntPoly((1,) * 7),  # Phi_7
+        IntPoly((1, 0, 0, 1, 0, 0, 1)),  # Phi_9
+        IntPoly((-1, 0, -1, 0, 0, 0, 1)),  # x^6 - x^2 - 1
+        quadratic * quadratic * IntPoly((-1, -1, 1)),  # not squarefree
+        cubic * cubic,  # not squarefree, no factor of degree < 3
+    ]
+    for polys in (quartics, sextics):
+        got = _irreducible_rows(np.array([p.coeffs for p in polys]))
+        assert got.tolist() == [is_irreducible(p) for p in polys]
+    assert got.tolist() == [False, False, True, True, True, False, False]
+
+
+def test_factor_sieve_refuses_int64_overflow():
+    # ||f||_1 (lc + |a_0|)^3 is about 2^84, far beyond int64
+    rows = np.array([[2**21, 1, 1, 1]])
+    with pytest.raises(BudgetExceeded):
+        _irreducible_rows(rows)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf, sqrt
+from mpmath import mp, mpf
 
 from otlck import (
     InputError,
@@ -14,7 +14,6 @@ from otlck import (
     char_poly,
     congruence_check,
     element_ball,
-    embedding_values,
     is_algebraic_integer,
     is_unit,
     min_poly,
@@ -143,15 +142,6 @@ def test_congruence_validation(sqrt2):
         congruence_check(sqrt2.one(), sqrt2.zero())
     with pytest.raises(InputError):
         congruence_check(sqrt2.one(), sqrt2.from_rational(Fraction(1, 2)))
-
-
-def test_embedding_values_contain_truth(sqrt2):
-    balls = embedding_values(sqrt2.one() + sqrt2.theta(), 64)
-    with mp.workdps(80):
-        vals = sorted([b.mid.real for b in balls])
-        assert abs(vals[0] - (1 - sqrt(2))) < mpf(10) ** -60
-        assert abs(vals[1] - (1 + sqrt(2))) < mpf(10) ** -60
-        assert all(b.rad < mpf(10) ** -50 for b in balls)
 
 
 def test_element_ball_indexing(quintic):

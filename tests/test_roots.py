@@ -1,5 +1,5 @@
-"""Certified root isolation: separation bounds, box counts against Sturm,
-conjugate pairing and refinement."""
+"""Certified root isolation: separation bounds, box counts against Sturm
+and conjugate pairing."""
 
 import warnings
 from fractions import Fraction
@@ -14,7 +14,6 @@ from otlck import (
     IntPoly,
     PrecisionContext,
     isolate_roots,
-    refine_root,
     root_separation_bound,
     sturm_count,
 )
@@ -131,17 +130,6 @@ def test_boxes_are_disjoint(coeffs):
                 assert d > boxes[i].radius + boxes[j].radius
 
 
-def test_refine_root_shrinks_in_place():
-    f = IntPoly((-2, 0, 1))
-    box = isolate_roots(f, CTX)[1]
-    tight = refine_root(f, box, Fraction(1, 10**150), CTX)
-    with mp.workdps(200):
-        assert tight.radius < mpf(10) ** -150
-        assert abs(tight.center - box.center) <= box.radius + tight.radius
-    with pytest.raises(InputError):
-        refine_root(f, box, Fraction(0), CTX)
-
-
 def test_certified_sign():
     from otlck.balls import RealBall
 
@@ -214,3 +202,21 @@ def test_smith_radii_cover_high_precision_evaluation(coeffs):
             fz = abs(mp.polyval(list(reversed(f.coeffs)), z[i]))
             prod = mp.fprod(abs(z[i] - z[j]) for j in range(d) if j != i)
             assert radii[i] >= d * fz / (abs(f.lc) * prod)
+
+
+def test_isolate_roots_checks_squarefree_once(monkeypatch):
+    from otlck import polys, roots
+
+    calls = []
+    original = polys.is_squarefree
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(polys, "is_squarefree", counting)
+    monkeypatch.setattr(roots, "is_squarefree", counting)
+    for coeffs in [(-1, -1, 0, 1), (-1, 0, -2, 0, 1), (-1, -1, 0, 0, 0, 1), (-3, 2)]:
+        calls.clear()
+        isolate_roots(IntPoly(coeffs), CTX)
+        assert len(calls) == 1, coeffs
