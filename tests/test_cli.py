@@ -177,8 +177,8 @@ def test_subgroup_and_audit():
 
 
 def test_t2_sextic_audits_exit_0():
-    # the ratio polynomial of a degree-6 unit has degree 31 > the default
-    # factoring cap of 24, which once ended these audits with exit 4
+    # the ratio polynomial of a degree-6 unit has a squarefree part of
+    # degree 31, above the default cap of 24 on user-supplied polynomials
     heights = {}
     for poly in ["x^6 + x - 1", "x^6 - x^5 - 1", "x^6 - 2x - 1"]:
         res = run("audit", poly, '["0","1","0","0","0","0"]')

@@ -379,7 +379,7 @@ def test_factor_sieve_hand_built_rows():
         IntPoly((1, 3, 1)) * IntPoly((1, -3, 1)),  # x^4 - 7x^2 + 1
         IntPoly((2, 5, 3)) * IntPoly((-1, 4, 1)),  # lc 3, a_0 -2
         IntPoly((1, 0, 0, 0, 1)),  # Phi_8
-        IntPoly((-1, -1, 0, 0, 1)),
+        IntPoly((-1, -1, 0, 0, 1)),  # x^4 - x - 1
     ]
     sextics = [
         cubic * IntPoly((1, -1, 0, 1)),  # (x^3 - x - 1)(x^3 - x + 1)
